@@ -22,8 +22,8 @@ through the round-major :class:`~repro.simulation.batch.BatchSimulator` via
 uses, so ``--parallel`` parallelises over pattern chunks instead of individual
 runs.  The :class:`~repro.store.CachingExecutor` implements ``run_batches``
 too (cache-aware, forwarding whole missing batches to its inner backend), so
-``--cache`` composes with the batched engine; executors that only implement
-``run_tasks`` still work everywhere — callers fall back to per-run tasks.
+``--cache`` composes with the batched engine.  Both methods are part of the
+:class:`Executor` protocol.
 
 Tasks and traces cross process boundaries by pickling, which every protocol,
 failure pattern, and trace in the library supports (they are plain dataclasses
@@ -89,10 +89,14 @@ def _execute_batch_chunk(batches: Sequence[BatchTask]) -> List[RunTrace]:
 class Executor(Protocol):
     """The execution-backend interface.
 
-    Implementations must return exactly one trace per task, in task order.
+    Implementations must return exactly one trace per task (``run_tasks``) or
+    per run of every batch (``run_batches``), in order.
     """
 
     def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:  # pragma: no cover
+        ...
+
+    def run_batches(self, batches: Sequence[BatchTask]) -> List[RunTrace]:  # pragma: no cover
         ...
 
 
@@ -296,7 +300,8 @@ def resolve_executor(executor: Optional[Executor]) -> Executor:
         return SerialExecutor()
     if not isinstance(executor, Executor):
         raise ConfigurationError(
-            f"{executor!r} is not an Executor (needs a run_tasks(tasks) method)"
+            f"{executor!r} is not an Executor (needs run_tasks(tasks) and "
+            "run_batches(batches) methods)"
         )
     return executor
 

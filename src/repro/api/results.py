@@ -1,9 +1,8 @@
 """The unified result container produced by executing a :class:`SweepSpec`.
 
-A :class:`ResultSet` subsumes the two ad-hoc result shapes of the legacy batch
-layer — ``BatchResult`` (one protocol over a workload) and the dict-of-traces
-returned by ``corresponding_runs`` (several protocols on one scenario) — and
-plugs directly into the analysis, specification, and reporting layers:
+A :class:`ResultSet` subsumes two result shapes — ``BatchResult`` (one protocol
+over a workload) and a dict of traces (several protocols on one scenario) —
+and plugs directly into the analysis, specification, and reporting layers:
 
 * :meth:`ResultSet.compare` / :meth:`ResultSet.pairwise` feed
   :func:`repro.analysis.compare_traces` (the Section 5 dominance relation);
@@ -12,9 +11,9 @@ plugs directly into the analysis, specification, and reporting layers:
 * :meth:`ResultSet.rows` / :meth:`ResultSet.table` feed
   :func:`repro.reporting.tables.format_table`.
 
-Indexing follows both legacy shapes: ``results["P_min"]`` is the protocol's
-trace tuple (the ``BatchResult`` view) and ``results.corresponding(i)`` is the
-scenario's name→trace mapping (the ``corresponding_runs`` view).
+Indexing follows both shapes: ``results["P_min"]`` is the protocol's trace
+tuple (the ``BatchResult`` view) and ``results.corresponding(i)`` is the
+scenario's name→trace mapping.
 """
 
 from __future__ import annotations

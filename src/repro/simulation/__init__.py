@@ -2,15 +2,14 @@
 
 :func:`simulate` here is the low-level engine primitive (one run, in-process);
 :class:`BatchSimulator` is the batched round-major engine that advances all
-runs of a system together, sharing work across runs (the default for
-exhaustive system construction).  Batch orchestration lives in
-:mod:`repro.api`; the legacy batch helpers in :mod:`repro.simulation.runner`
-are deprecated shims over that layer.
+runs of a system together, sharing work across runs (exhaustive system
+construction runs on it).  Batch orchestration lives in
+:mod:`repro.api`.
 """
 
 from .batch import BatchSimulator, BatchTask, execute_batch, execute_batches, simulate_batch
 from .engine import simulate, step
-from .runner import BatchResult, Scenario, corresponding_runs, run_batch, run_protocol, sweep
+from .runner import BatchResult, Scenario
 from .trace import RoundRecord, RunTrace
 
 __all__ = [
@@ -20,13 +19,9 @@ __all__ = [
     "RoundRecord",
     "RunTrace",
     "Scenario",
-    "corresponding_runs",
     "execute_batch",
     "execute_batches",
-    "run_batch",
-    "run_protocol",
     "simulate",
     "simulate_batch",
     "step",
-    "sweep",
 ]

@@ -1,27 +1,18 @@
-"""Deprecated batch-execution entry points (superseded by :mod:`repro.api`).
-
-Historically this module was the orchestration layer: ``run_protocol``,
-``run_batch``, ``corresponding_runs``, and ``sweep`` each wired the engine to a
-workload in its own way.  That role has moved to the declarative spec/executor
-layer in :mod:`repro.api`; the functions here survive as thin deprecated shims
-so existing imports keep working, and each one's docstring names its
-replacement.
-
-Two pieces remain first-class (they are data types, not entry points):
+"""Workload and result data types shared by the orchestration layer.
 
 * :data:`Scenario` — a workload item, ``(preferences, failure-pattern)``;
-* :class:`BatchResult` — the legacy one-protocol result shape, still produced
-  by :meth:`repro.api.ResultSet.batch`.
+* :class:`BatchResult` — the one-protocol result shape produced by
+  :meth:`repro.api.ResultSet.batch`.
+
+Running protocols over workloads is :mod:`repro.api`'s job.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..failures.pattern import FailurePattern
-from ..protocols.base import ActionProtocol
 from .trace import RunTrace
 
 #: A workload item: one initial global state (preferences plus failure pattern).
@@ -40,72 +31,3 @@ class BatchResult:
 
     def __iter__(self):
         return iter(self.traces)
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} from repro.api instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
-             pattern: Optional[FailurePattern] = None,
-             horizon: Optional[int] = None,
-             exchange=None) -> RunTrace:
-    """Deprecated top-level entry point: use ``repro.api.RunSpec(...).run()``.
-
-    The low-level engine primitive remains available (non-deprecated) as
-    :func:`repro.simulation.engine.simulate`; this shim exists so that
-    ``from repro import simulate`` keeps working during the migration.
-    """
-    _warn_deprecated("simulate", "RunSpec(...).run()")
-    # Delegate to the engine directly (not through RunSpec) so legacy callers
-    # keep the exact historical semantics, including ValueError on malformed
-    # preferences and the optional exchange override.
-    from .engine import simulate as engine_simulate
-    return engine_simulate(protocol, n, preferences, pattern=pattern,
-                           horizon=horizon, exchange=exchange)
-
-
-def run_protocol(protocol: ActionProtocol, n: int, preferences: Sequence[int],
-                 pattern: Optional[FailurePattern] = None,
-                 horizon: Optional[int] = None) -> RunTrace:
-    """Deprecated: use ``repro.api.RunSpec(...).run()`` (or ``repro.api.run``)."""
-    _warn_deprecated("run_protocol", "RunSpec(...).run()")
-    from .engine import simulate as engine_simulate
-    return engine_simulate(protocol, n, preferences, pattern=pattern, horizon=horizon)
-
-
-def run_batch(protocol: ActionProtocol, n: int, scenarios: Iterable[Scenario],
-              horizon: Optional[int] = None) -> BatchResult:
-    """Deprecated: use ``Sweep.of(protocol).on(scenarios).run().batch(...)``."""
-    _warn_deprecated("run_batch", "Sweep.of(protocol).on(scenarios).run().batch(name)")
-    from ..api import run_sweep
-    results = run_sweep([protocol], scenarios, n=n, horizon=horizon)
-    return results.batch(protocol.name)
-
-
-def corresponding_runs(protocols: Sequence[ActionProtocol], n: int,
-                       preferences: Sequence[int], pattern: FailurePattern,
-                       horizon: Optional[int] = None) -> Dict[str, RunTrace]:
-    """Deprecated: use ``Sweep.of(*protocols).on([scenario]).run().corresponding(0)``.
-
-    Runs several protocols on the *same* initial global state and returns a
-    mapping from protocol name to its trace.  Protocol names must be unique
-    within the call (validated by ``SweepSpec``, which raises
-    :class:`~repro.core.errors.ConfigurationError` naming the collisions).
-    """
-    _warn_deprecated("corresponding_runs",
-                     "Sweep.of(*protocols).on([scenario]).run().corresponding(0)")
-    from ..api import corresponding
-    return corresponding(protocols, n, preferences, pattern, horizon=horizon)
-
-
-def sweep(protocols: Sequence[ActionProtocol], n: int, scenarios: Iterable[Scenario],
-          horizon: Optional[int] = None) -> Dict[str, BatchResult]:
-    """Deprecated: use ``Sweep.of(*protocols).on(scenarios).run().batches()``."""
-    _warn_deprecated("sweep", "Sweep.of(*protocols).on(scenarios).run().batches()")
-    from ..api import run_sweep
-    return run_sweep(protocols, scenarios, n=n, horizon=horizon).batches()

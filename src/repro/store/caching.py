@@ -127,13 +127,6 @@ class CachingExecutor:
         would shatter the round-major sharing the batch engine exists for —
         and every fresh trace is persisted individually, keeping sweeps
         resumable at per-run granularity.
-
-        Before this method existed, :func:`~repro.systems.interpreted.build_system`
-        saw a ``run_tasks``-only executor and silently fell back to per-run
-        simulation whenever ``--cache`` was on — caching *disabled* the ~18×
-        batched engine.  Now the fan-out is preserved: the inner executor
-        still receives batch work items (orbit-aligned chunks under
-        ``--parallel``), pinned by ``tests/test_store_caching.py``.
         """
         batches = list(batches)
         per_batch: List[Optional[List]] = []
@@ -152,16 +145,7 @@ class CachingExecutor:
             else:
                 per_batch.append(traces)
         if missing:
-            to_run = [batches[index] for index in missing]
-            if hasattr(self.inner, "run_batches"):
-                fresh = list(self.inner.run_batches(to_run))
-            else:
-                fresh = self.inner.run_tasks([
-                    (protocol, n, preferences, pattern, horizon)
-                    for protocol, n, preference_vectors, patterns, horizon in to_run
-                    for pattern in patterns
-                    for preferences in preference_vectors
-                ])
+            fresh = list(self.inner.run_batches([batches[index] for index in missing]))
             cursor = 0
             for index, keys in zip(missing, missing_keys):
                 chunk = fresh[cursor:cursor + len(keys)]

@@ -33,7 +33,6 @@ from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
 from ..simulation.batch import BatchSimulator
-from ..simulation.engine import simulate
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
 from .points import Point, PointSet, iter_mask_points
@@ -375,10 +374,6 @@ class InterpretedSystem:
                 f"runs={len(self.runs)}, protocol={self.protocol_name!r})")
 
 
-#: The construction engines ``build_system`` dispatches between.
-ENGINES = ("batched", "per-run")
-
-
 def _normalize_patterns(patterns: Iterable["FailurePattern | PatternOrbit"],
                         pattern_weights: Optional[Sequence[int]],
                         ) -> Tuple[List[FailurePattern], List[Tuple[FailurePattern, ...]],
@@ -465,10 +460,17 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
                  executor: Optional["Executor"] = None,
                  store: "StoreLike" = None,
-                 engine: str = "batched",
                  pattern_weights: Optional[Sequence[int]] = None,
                  ) -> InterpretedSystem:
     """Build the interpreted system ``I_{γ, P}`` by simulating every run.
+
+    All runs advance together one round at a time through a
+    :class:`~repro.simulation.batch.BatchSimulator`, sharing exchange
+    construction, ``act``/``messages_for`` evaluations, and whole round
+    transitions across runs.  The traces are byte-identical (per-trace
+    pickle) to one :func:`~repro.simulation.engine.simulate` call per run,
+    which :func:`repro.testing.oracles.per_run_system` keeps as the
+    differential oracle.
 
     Parameters
     ----------
@@ -493,15 +495,13 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         Optional :class:`~repro.api.executors.Executor` to simulate the runs
         on (e.g. :class:`~repro.api.executors.ParallelExecutor` for a process
         pool).  Run ordering is deterministic — pattern-major,
-        preference-minor — on every backend; ``None`` runs in-process.  With
-        the batched engine, executors exposing ``run_batches`` receive
-        contiguous pattern chunks (each chunk one worker-side batch
-        simulator); when ``patterns`` contains orbits, chunk boundaries
-        respect orbit boundaries, so an orbit's members always share a
-        simulator.  Executors with only ``run_tasks`` fall back to per-run
-        simulation.  The :class:`~repro.store.CachingExecutor` keeps the
-        batched fan-out (its ``run_batches`` serves fully cached chunks and
-        forwards whole missing chunks inward) while still caching at per-run
+        preference-minor — on every backend; ``None`` runs in-process.  The
+        executor's ``run_batches`` receives contiguous pattern chunks (each
+        chunk one worker-side batch simulator); when ``patterns`` contains
+        orbits, chunk boundaries respect orbit boundaries, so an orbit's
+        members always share a simulator.  The
+        :class:`~repro.store.CachingExecutor` serves fully cached chunks and
+        forwards whole missing chunks inward while still caching at per-run
         granularity.
     store:
         Optional :class:`~repro.store.ArtifactStore` (or cache-directory
@@ -509,14 +509,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         from the content-addressed cache when an identical configuration was
         built before, and persisted otherwise.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
-    engine:
-        ``"batched"`` (default) advances all runs together one round at a
-        time through a :class:`~repro.simulation.batch.BatchSimulator`,
-        sharing exchange construction, ``act``/``messages_for`` evaluations,
-        and whole round transitions across runs; ``"per-run"`` is the
-        original one-:func:`~repro.simulation.engine.simulate`-call-per-run
-        path, kept as a differential-testing oracle.  Both produce
-        byte-identical traces (per-trace pickle).
     pattern_weights:
         Optional per-pattern orbit multiplicities (one positive integer per
         ``patterns`` entry; incompatible with orbit entries, which carry their
@@ -525,9 +517,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         recover exact full-enumeration totals from a symmetry-reduced build.
     """
     from ..store import resolve_store, system_key
-    if engine not in ENGINES:
-        raise ModelCheckingError(
-            f"unknown construction engine {engine!r}; use one of {ENGINES}")
     if preference_vectors is None:
         preference_vectors = enumerate_preferences(n)
     preference_list = [tuple(vector) for vector in preference_vectors]
@@ -546,7 +535,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     if _trace.is_active():
         build_span = _trace.span("build.system", "build", {
             "protocol": protocol.name, "n": n, "horizon": horizon,
-            "engine": engine, "patterns": len(pattern_list),
+            "patterns": len(pattern_list),
             "runs": len(pattern_list) * len(preference_list)})
     with build_span as span:
         resolved_store = resolve_store(store)
@@ -559,40 +548,17 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 span.set("cached", True)
                 return cached
         partitions = None
-        if engine == "per-run":
-            if executor is None:
-                runs: List[RunTrace] = [
-                    simulate(protocol, n, preferences, pattern=pattern, horizon=horizon)
-                    for pattern in pattern_list
-                    for preferences in preference_list
-                ]
-            else:
-                tasks = [
-                    (protocol, n, preferences, pattern, horizon)
-                    for pattern in pattern_list
-                    for preferences in preference_list
-                ]
-                runs = list(executor.run_tasks(tasks))
-        elif executor is None:
+        if executor is None:
             simulator = BatchSimulator(protocol, n)
             runs = simulator.simulate_patterns(pattern_list, preference_list, horizon)
             partitions = simulator.partitions(runs, horizon)
-        elif hasattr(executor, "run_batches"):
+        else:
             prefs = tuple(preference_list)
             batches = [
                 (protocol, n, prefs, chunk, horizon)
                 for chunk in _chunk_groups(groups)
             ]
             runs = list(executor.run_batches(batches))
-        else:
-            # Executors exposing only run_tasks (custom backends)
-            # keep their per-run semantics.
-            tasks = [
-                (protocol, n, preferences, pattern, horizon)
-                for pattern in pattern_list
-                for preferences in preference_list
-            ]
-            runs = list(executor.run_tasks(tasks))
         with _trace.span("build.intern", "build"):
             system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
                                        protocol_name=protocol.name,
@@ -613,7 +579,6 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
                            max_faulty: Optional[int] = None,
                            executor: Optional["Executor"] = None,
                            store: "StoreLike" = None,
-                           engine: str = "batched",
                            symmetry: str = "none") -> InterpretedSystem:
     """Convenience wrapper: build the system for every pattern of a failure model.
 
@@ -649,4 +614,4 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
             patterns = [orbit.representative for orbit in orbits]
             weights = [orbit.size for orbit in orbits]
     return build_system(protocol, model.n, horizon, patterns, executor=executor,
-                        store=store, engine=engine, pattern_weights=weights)
+                        store=store, pattern_weights=weights)

@@ -1,4 +1,4 @@
-"""``repro.testing`` — reusable fault-injection tooling.
+"""``repro.testing`` — reusable fault-injection tooling and differential oracles.
 
 A small, import-light package (nothing in the library imports it; tests and
 the chaos harness do) providing the controlled failure modes the robustness
@@ -20,6 +20,11 @@ layer is tested against:
 Everything here is deterministic on purpose: faults fire on exact call
 counts or sentinel files, never on randomness, so a chaos test that fails
 once fails every time.
+
+:mod:`repro.testing.oracles` (imported on its own, not re-exported here)
+holds the slow, independent reference implementations the production
+model-checking paths are differentially tested against: the per-point
+Definition 6.2 safety scan and the one-run-at-a-time system build.
 """
 
 from .faults import (

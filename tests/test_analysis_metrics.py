@@ -13,7 +13,8 @@ from repro.analysis import (
 )
 from repro.failures import FailurePattern
 from repro.protocols import BasicProtocol, MinProtocol
-from repro.simulation import run_batch, simulate
+from repro.api import Sweep
+from repro.simulation import simulate
 from repro.workloads import all_ones, random_scenarios
 
 
@@ -47,7 +48,7 @@ class TestRunMetrics:
 class TestAggregation:
     def test_aggregate_over_batch(self):
         scenarios = random_scenarios(4, 1, count=6, seed=2)
-        batch = run_batch(MinProtocol(1), 4, scenarios)
+        batch = Sweep.of(MinProtocol(1)).on(scenarios, n=4).run().batch("P_min")
         aggregate = aggregate_metrics(list(batch))
         assert aggregate.runs == 6
         assert aggregate.protocol_name == "P_min"

@@ -135,6 +135,9 @@ class TestResolveExecutor:
                 self.calls += 1
                 return SerialExecutor().run_tasks(tasks)
 
+            def run_batches(self, batches):
+                return SerialExecutor().run_batches(batches)
+
         recording = Recording()
         assert isinstance(recording, Executor)
         spec = intro_spec()

@@ -1,10 +1,13 @@
 """Tests for the Definition 6.2 safety-condition checker (Proposition 6.4)."""
 
 
+import pytest
+
 from repro.kbp.safety import check_safety
 from repro.protocols import BasicProtocol, MinProtocol
 from repro.protocols.baselines import NaiveZeroBiasedProtocol
 from repro.systems import gamma_basic, gamma_min
+from repro.testing.oracles import per_point_safety
 
 
 class TestProposition64:
@@ -46,3 +49,34 @@ class TestSafetyIsNotVacuous:
         context = gamma_min(3, 1, max_faulty_enumerated=1)
         report = check_safety(NaiveZeroBiasedProtocol(1), context, max_violations=3)
         assert len(report.violations) == 3
+
+
+#: (protocol, context, max_violations) cases for the scan-parity contract.
+#: The uncapped NaiveZeroBiased case reports violations of both clauses.
+PARITY_CASES = [
+    pytest.param(lambda: (MinProtocol(1), gamma_min(3, 1)), 10, id="P_min-gamma_min"),
+    pytest.param(lambda: (BasicProtocol(1), gamma_basic(3, 1)), 10, id="P_basic-gamma_basic"),
+    pytest.param(lambda: (NaiveZeroBiasedProtocol(1),
+                          gamma_min(3, 1, max_faulty_enumerated=1)),
+                 10, id="naive-capped"),
+    pytest.param(lambda: (NaiveZeroBiasedProtocol(1),
+                          gamma_min(3, 1, max_faulty_enumerated=1)),
+                 10 ** 6, id="naive-uncapped"),
+]
+
+
+class TestScanParity:
+    """The vectorized scan and the per-point oracle give identical reports:
+    the same counters and the same violations in the same order."""
+
+    @pytest.mark.parametrize("make, max_violations", PARITY_CASES)
+    def test_vector_scan_matches_per_point_oracle(self, make, max_violations):
+        protocol, context = make()
+        system = context.build_system(protocol)
+        vector = check_safety(protocol, context, system=system,
+                              max_violations=max_violations)
+        oracle = per_point_safety(protocol, context, system, max_violations)
+        assert vector.points_checked == oracle.points_checked
+        assert vector.clause1_checks == oracle.clause1_checks
+        assert vector.clause2_checks == oracle.clause2_checks
+        assert vector.violations == oracle.violations

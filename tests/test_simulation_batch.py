@@ -1,4 +1,4 @@
-"""Differential tests: the batched round-major engine vs the per-run engine.
+"""Differential tests: the batched round-major engine vs one run at a time.
 
 The batched engine (:mod:`repro.simulation.batch`) promises traces that are
 **byte-identical** (per-trace pickle) to :func:`repro.simulation.engine.simulate`'s
@@ -6,8 +6,7 @@ for every protocol, failure model, and scenario — and systems whose interned
 partitions are identical to the per-run path's.  These tests enforce that
 promise across the SO / RO / GO models and all three paper protocols, plus a
 randomized scenario sweep, and pin the supporting behaviours: duplicate-pattern
-rejection, executor batch fan-out, and the engine/symmetry knobs of
-``build_system``.
+rejection, executor batch fan-out, and the symmetry knob of ``build_system``.
 """
 
 import pickle
@@ -29,6 +28,7 @@ from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
 from repro.simulation.engine import simulate
 from repro.systems import build_system, build_system_for_model, gamma_basic, gamma_min
+from repro.testing.oracles import per_run_system
 from repro.workloads.preferences import enumerate_preferences
 
 MODELS = ["sending-omission", "receive-omission", "general-omission"]
@@ -103,7 +103,7 @@ class TestEngineEquivalenceInBuildSystem:
     def test_build_system_engines_agree(self, model_name):
         context = gamma_min(3, 1, failure_model=model_name)
         batched = context.build_system(MinProtocol(1))
-        per_run = context.build_system(MinProtocol(1), engine="per-run")
+        per_run = per_run_system(MinProtocol(1), context)
         assert _trace_bytes(batched.runs) == _trace_bytes(per_run.runs)
         for agent in range(3):
             fast = batched.partition(agent)
@@ -123,14 +123,10 @@ class TestEngineEquivalenceInBuildSystem:
                 system=context.build_system(claim_protocol))
             per_run = check_implements(
                 claim_protocol, make_p0(3), context,
-                system=context.build_system(claim_protocol, engine="per-run"))
+                system=per_run_system(claim_protocol, context))
             assert repr(batched) == repr(per_run)
             assert batched.checked_states == per_run.checked_states
             assert [repr(m) for m in batched.mismatches] == [repr(m) for m in per_run.mismatches]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ModelCheckingError, match="engine"):
-            gamma_min(3, 1).build_system(MinProtocol(1), engine="turbo")
 
 
 class TestExecutorBatchFanOut:
@@ -142,21 +138,6 @@ class TestExecutorBatchFanOut:
             MinProtocol(1), executor=ParallelExecutor(max_workers=2, chunksize=1))
         assert _trace_bytes(serial.runs) == _trace_bytes(reference.runs)
         assert _trace_bytes(parallel.runs) == _trace_bytes(reference.runs)
-
-    def test_run_tasks_only_executors_fall_back_to_per_run(self):
-        class TasksOnly:
-            def __init__(self):
-                self.calls = 0
-
-            def run_tasks(self, tasks):
-                self.calls += 1
-                return SerialExecutor().run_tasks(tasks)
-
-        executor = TasksOnly()
-        system = gamma_min(3, 1).build_system(MinProtocol(1), executor=executor)
-        assert executor.calls == 1
-        reference = gamma_min(3, 1).build_system(MinProtocol(1))
-        assert _trace_bytes(system.runs) == _trace_bytes(reference.runs)
 
     def test_execute_batches_shares_a_simulator_across_chunks(self):
         protocol = MinProtocol(1)

@@ -41,6 +41,9 @@ class CountingExecutor:
         self.tasks_run.extend(tasks)
         return self._inner.run_tasks(tasks)
 
+    def run_batches(self, batches: Sequence[tuple]):
+        return self._inner.run_batches(batches)
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -150,14 +153,6 @@ class TestCachingExecutorBatches:
         inner = CountingBatchExecutor()
         CachingExecutor(store, inner).run_batches(batches)
         assert inner.batches_run == [] and inner.tasks_run == []
-
-    def test_run_tasks_only_inner_still_works(self, store):
-        """An inner backend without ``run_batches`` gets flattened tasks."""
-        from repro.simulation.batch import execute_batches
-        inner = CountingExecutor()
-        traces = CachingExecutor(store, inner).run_batches(two_batches())
-        assert traces == execute_batches(two_batches())
-        assert len(inner.tasks_run) == 4  # 2 batches x 2 preference vectors
 
     def test_build_system_keeps_batched_fanout_under_caching(self, store):
         """The regression pin: ``build_system`` with a ``CachingExecutor``
