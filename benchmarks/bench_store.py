@@ -16,19 +16,29 @@ double as the acceptance check.  Each parametrisation reports through
 pytest-benchmark as usual (``--benchmark-json``); ``tools/bench_summary.py``
 includes this file in the canonical ``BENCH_<date>.json``.
 
+Two rows time content-key hashing on its own, because it sits on every
+store lookup and on every service submission:
+
+* ``system_key`` over γ_min(4, 1)'s 2049 failure patterns (the key a cold
+  theorem job computes before building the system);
+* a repeated ``theorem`` :func:`~repro.service.wire.decode_request`, which the
+  service runs on every ``POST /jobs`` to find the job's key.
+
 Reference numbers on the development container: cold (n=4, t=1) ≈ 0.8 s
 (≈ 7 s before the batched construction engine; the system build still
 dominates), warm ≈ 2 ms from a fresh process (disk + unpickle), ≈ 0.2 ms
 within a process (memory LRU).
 """
 
+import itertools
 import time
 
 import pytest
 
 from repro.kbp import check_implements, make_p0
 from repro.protocols import MinProtocol
-from repro.store import default_store
+from repro.service.wire import decode_request, theorem_request
+from repro.store import default_store, system_key
 from repro.systems import gamma_min
 
 SIZES = [(3, 1), (4, 1)]
@@ -82,3 +92,23 @@ def test_bench_warm_build_and_check(benchmark, tmp_path, size):
         f"warm check_implements at n={n} is only {speedup:.1f}x faster than cold "
         f"({warm_seconds:.4f}s vs {cold_seconds:.4f}s); the store promises >= {MIN_SPEEDUP}x"
     )
+
+
+def test_bench_system_key_gamma_min(benchmark):
+    """Key hashing alone: ``system_key`` over every γ_min(4, 1) failure pattern."""
+    context = gamma_min(4, 1)
+    patterns = list(context.patterns())
+    preference_vectors = list(itertools.product((0, 1), repeat=4))
+    key = benchmark(system_key, MinProtocol(1), 4, context.horizon, patterns,
+                    preference_vectors)
+    assert len(patterns) == 2049 and len(key) == 64
+
+
+@pytest.mark.parametrize("theorem, n", [("6.5", 4), ("a21", 3)],
+                         ids=str)
+def test_bench_warm_theorem_decode_request(benchmark, theorem, n):
+    """The service's per-submission key cost for a theorem it has seen before."""
+    body = theorem_request(theorem, n, 1)
+    first = decode_request(body).key
+    request = benchmark(decode_request, body)
+    assert request.key == first

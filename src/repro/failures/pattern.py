@@ -113,6 +113,13 @@ class FailurePattern:
                 (self.n, tuple(sorted(self.faulty)), tuple(sorted(self.omissions)),
                  tuple(sorted(self.receive_omissions))))
 
+    def __store_token__(self) -> str:
+        # One canonical string for the artifact-store key scheme: the repr of
+        # the sorted tuples the pattern pickles through.  Tokenising the three
+        # frozensets generically costs dozens of recursive calls per pattern,
+        # and system keys cover thousands of patterns.
+        return repr(self.__reduce__()[1])
+
     def sort_key(self) -> tuple:
         """A canonical ordering key (the same tuple the pattern pickles through)."""
         return (tuple(sorted(self.faulty)), tuple(sorted(self.omissions)),

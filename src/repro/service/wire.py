@@ -33,6 +33,7 @@ anything (see :mod:`repro.service.jobs`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 #: A decoded JSON object (request and result bodies are always objects).
@@ -70,6 +71,19 @@ def _require(data: JSONObject, field: str, kind: str) -> Any:
     if field not in data:
         raise ServiceError(f"{kind} request is missing the {field!r} field")
     return data[field]
+
+
+def _require_int(data: JSONObject, field: str, kind: str) -> int:
+    """``data[field]``, which must be a JSON integer.
+
+    A bool, float or string size would mint a key of its own (``1.0 == 1``
+    but the two tokenise differently), so it is a client error, not a
+    duplicate job.
+    """
+    value = _require(data, field, kind)
+    if type(value) is not int:
+        raise ServiceError(f"{kind}: {field!r} must be an integer, got {value!r}")
+    return value
 
 
 # ------------------------------------------------------------------ protocols
@@ -198,19 +212,35 @@ def _theorem_parts(check: TheoremCheck) -> Tuple[Any, Any, Any]:
     raise ServiceError(f"unknown theorem {check.theorem!r}; one of {THEOREMS}")
 
 
+@lru_cache(maxsize=64)
+def _theorem_key(theorem: str, n: int, t: int, store_version: int,
+                 fingerprint: str) -> str:
+    """The report key of one theorem check, memoised per process.
+
+    Building P0/P1 and tokenising their formula trees dominates a warm
+    theorem submission, and the key is a pure function of these arguments.
+    ``store_version`` and ``fingerprint`` are not used in the body: they are
+    part of the memo key, so a changed key scheme or code fingerprint can
+    never be answered with a key minted under the old one.
+    """
+    from ..store import implementation_report_key
+    protocol, program, context = _theorem_parts(TheoremCheck(theorem, n, t))
+    # max_time=None / max_mismatches=10: check_implements' defaults, which
+    # is what the experiment wrappers (and cache warm) run with.
+    return implementation_report_key(protocol, program, context, None, 10)
+
+
 def request_key(kind: str, spec: Any) -> str:
     """The content key identifying a request's computation in the store."""
-    from ..store import implementation_report_key, run_task_key, sweep_key
+    from ..store import keys, run_task_key, sweep_key
     if kind == "run":
         preferences, pattern = spec.scenario
         return run_task_key((spec.protocol, spec.n, preferences, pattern, spec.horizon))
     if kind == "sweep":
         return sweep_key(spec)
     if kind == "theorem":
-        protocol, program, context = _theorem_parts(spec)
-        # max_time=None / max_mismatches=10: check_implements' defaults, which
-        # is what the experiment wrappers (and cache warm) run with.
-        return implementation_report_key(protocol, program, context, None, 10)
+        return _theorem_key(spec.theorem, spec.n, spec.t, keys.STORE_VERSION,
+                            keys.code_fingerprint())
     raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
@@ -223,49 +253,52 @@ def decode_request(data: object) -> JobRequest:
     if not isinstance(data, dict):
         raise ServiceError(f"request body must be a JSON object, got {type(data).__name__}")
     kind = _require(data, "type", "job")
+    try:
+        spec = _decode_spec(kind, data)
+        key = request_key(kind, spec)
+    except ServiceError:
+        raise
+    except Exception as exc:
+        # Spec validation (ConfigurationError etc.) is a client error too.
+        raise ServiceError(f"invalid {kind} request: {exc}") from exc
+    return JobRequest(kind=kind, spec=spec, key=key, body=data)
+
+
+def _decode_spec(kind: str, data: JSONObject) -> Any:
     if kind == "run":
-        protocol = decode_protocol(data, "run request")
-        spec: Any = RunSpec(
-            protocol=protocol,
-            n=_require(data, "n", "run request"),
+        return RunSpec(
+            protocol=decode_protocol(data, "run request"),
+            n=_require_int(data, "n", "run request"),
             preferences=tuple(_require(data, "preferences", "run request")),
             pattern=decode_pattern(data.get("pattern"), "run request"),
-            horizon=data.get("horizon"),
+            horizon=(None if data.get("horizon") is None
+                     else _require_int(data, "horizon", "run request")),
         )
-    elif kind == "sweep":
+    if kind == "sweep":
         protocols = tuple(decode_protocol(entry, "sweep request")
                           for entry in _require(data, "protocols", "sweep request"))
         if "workload" in data and "scenarios" in data:
             raise ServiceError("sweep request: give either 'scenarios' or "
                                "'workload', not both")
         if "workload" in data:
-            spec = _sweep_from_workload(protocols, data)
-        else:
-            scenarios = tuple(
-                _decode_scenario(entry, index, "sweep request")
-                for index, entry in enumerate(_require(data, "scenarios", "sweep request")))
-            spec = SweepSpec(protocols=protocols,
-                             n=data.get("n") or (len(scenarios[0][0]) if scenarios else 0),
-                             scenarios=scenarios,
-                             horizon=data.get("horizon"),
-                             seed=data.get("seed"))
-    elif kind == "theorem":
+            return _sweep_from_workload(protocols, data)
+        scenarios = tuple(
+            _decode_scenario(entry, index, "sweep request")
+            for index, entry in enumerate(_require(data, "scenarios", "sweep request")))
+        return SweepSpec(protocols=protocols,
+                         n=data.get("n") or (len(scenarios[0][0]) if scenarios else 0),
+                         scenarios=scenarios,
+                         horizon=data.get("horizon"),
+                         seed=data.get("seed"))
+    if kind == "theorem":
         theorem = str(_require(data, "theorem", "theorem request"))
         if theorem not in THEOREMS:
             raise ServiceError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
-        spec = TheoremCheck(theorem=theorem,
-                            n=_require(data, "n", "theorem request"),
-                            t=_require(data, "t", "theorem request"))
-    else:
-        raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
-    try:
-        return JobRequest(kind=kind, spec=spec, key=request_key(kind, spec),
-                          body=data)
-    except ServiceError:
-        raise
-    except Exception as exc:
-        # Spec validation (ConfigurationError etc.) is a client error too.
-        raise ServiceError(f"invalid {kind} request: {exc}") from exc
+        return TheoremCheck(
+            theorem=theorem,
+            n=_require_int(data, "n", "theorem request"),
+            t=_require_int(data, "t", "theorem request"))
+    raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
 def _sweep_from_workload(protocols: Tuple[ActionProtocol, ...],

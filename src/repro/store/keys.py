@@ -38,7 +38,9 @@ from ..core.errors import StoreError
 
 #: Version of the key scheme and on-disk payload format.  Bump on any change
 #: to either; every existing cache entry becomes unreachable (stale-proofing).
-STORE_VERSION = 1
+#: Version 2: failure patterns tokenise as one canonical string
+#: (``FailurePattern.__store_token__``).
+STORE_VERSION = 2
 
 _FINGERPRINT_CACHE: Optional[str] = None
 

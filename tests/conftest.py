@@ -6,11 +6,26 @@ import pytest
 
 from repro.failures import FailurePattern, SendingOmissionModel
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
+from repro.store import keys as store_keys
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running exhaustive checks (deselect with -m 'not slow')")
+
+
+@pytest.fixture
+def token_calls(monkeypatch):
+    """A one-element list counting every store ``token`` call, recursive ones included."""
+    calls = [0]
+    original = store_keys.token
+
+    def counting(obj):
+        calls[0] += 1
+        return original(obj)
+
+    monkeypatch.setattr(store_keys, "token", counting)
+    return calls
 
 
 @pytest.fixture

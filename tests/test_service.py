@@ -39,7 +39,15 @@ from repro.service import (
     theorem_request,
 )
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
-from repro.store import ArtifactStore, default_store, run_task_key, sweep_key
+from repro.service.wire import THEOREMS, TheoremCheck, _theorem_parts
+from repro.store import (
+    ArtifactStore,
+    default_store,
+    implementation_report_key,
+    run_task_key,
+    sweep_key,
+)
+from repro.store import keys as store_keys
 
 
 def tiny_run_body():
@@ -133,6 +141,61 @@ class TestWireFormat:
         encoded = encode_pattern(pattern)
         assert encoded["faulty"] == sorted(encoded["faulty"])
         assert encoded["omissions"] == sorted(encoded["omissions"])
+
+    @pytest.mark.parametrize("body, fragment", [
+        ({"type": "theorem", "theorem": "6.5", "n": 4, "t": 1.0}, "'t' must be an integer"),
+        ({"type": "theorem", "theorem": "6.5", "n": "4", "t": 1}, "'n' must be an integer"),
+        ({"type": "theorem", "theorem": "6.5", "n": 4, "t": True}, "'t' must be an integer"),
+        ({"type": "run", "protocol": "min", "t": 1, "n": 3.0,
+          "preferences": [1, 1, 1]}, "'n' must be an integer"),
+        ({"type": "run", "protocol": "min", "t": 1, "n": 3,
+          "preferences": [1, 1, 1], "horizon": 3.0}, "'horizon' must be an integer"),
+        ({"type": "run", "protocol": "min", "t": 1, "n": 3,
+          "preferences": [1, 1, 1], "horizon": False}, "'horizon' must be an integer"),
+    ])
+    def test_non_integer_sizes_are_rejected(self, body, fragment):
+        # 1.0 == 1 but tokenises differently: accepting it would mint a
+        # duplicate job that neither coalesces nor hits the cache.
+        with pytest.raises(ServiceError, match=fragment):
+            decode_request(body)
+
+    @pytest.mark.parametrize("body", [
+        {"type": "run", "protocol": "min", "t": 1, "n": 4, "preferences": [0, 1, 1]},
+        {"type": "run", "protocol": "min", "t": 1, "n": 3, "preferences": 7},
+        {"type": "sweep", "protocols": [{"protocol": "min", "t": 1}],
+         "scenarios": [[[1, 1], None]], "n": 3},
+        {"type": "theorem", "theorem": "6.5", "n": 0, "t": 1},
+    ])
+    def test_invalid_specs_raise_service_error(self, body):
+        with pytest.raises(ServiceError, match=f"invalid {body['type']} request"):
+            decode_request(body)
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_theorem_key_is_a_fresh_report_key(self, theorem, n, monkeypatch):
+        body = theorem_request(theorem, n, 1)
+
+        def fresh():
+            return implementation_report_key(
+                *_theorem_parts(TheoremCheck(theorem, n, 1)), None, 10)
+
+        key = decode_request(body).key
+        assert key == fresh()
+        # The memo must never serve a key minted under another key scheme
+        # or another code fingerprint.
+        monkeypatch.setattr(store_keys, "STORE_VERSION", store_keys.STORE_VERSION + 1)
+        bumped = decode_request(body).key
+        assert bumped == fresh() and bumped != key
+        monkeypatch.setattr(store_keys, "_FINGERPRINT_CACHE", "different-code")
+        refingerprinted = decode_request(body).key
+        assert refingerprinted == fresh() and refingerprinted not in (key, bumped)
+
+    def test_repeated_theorem_decode_hashes_nothing(self, token_calls):
+        body = theorem_request("6.5", 3, 1)
+        first = decode_request(body).key
+        token_calls[0] = 0
+        assert decode_request(body).key == first
+        assert token_calls[0] == 0
 
 
 # --------------------------------------------------------------------------- queue
@@ -293,6 +356,18 @@ class TestJobServer:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"type": "run", "protocol": "nope", "t": 1, "n": 3,
                            "preferences": [1, 1, 1]})
+
+    def test_invalid_run_spec_is_http_400(self, client):
+        # The spec constructor's ConfigurationError used to escape the
+        # handler and drop the connection with no response.
+        with pytest.raises(ServiceError, match="HTTP 400: invalid run request"):
+            client.submit({"type": "run", "protocol": "min", "t": 1, "n": 4,
+                           "preferences": [0, 1, 1]})
+        assert client.healthz() == {"ok": True}
+
+    def test_float_size_is_http_400(self, client):
+        with pytest.raises(ServiceError, match="HTTP 400: .*'t' must be an integer"):
+            client.submit({"type": "theorem", "theorem": "6.5", "n": 4, "t": 1.0})
 
     def test_unknown_job_is_http_404(self, client):
         with pytest.raises(ServiceError, match="HTTP 404"):

@@ -29,6 +29,7 @@ from repro.store import (
     default_store,
     resolve_store,
     run_task_key,
+    system_key,
     token,
 )
 from repro.store import keys as keys_module
@@ -53,10 +54,12 @@ class TestToken:
         assert token({"a": 1, "b": 2}) == token({"b": 2, "a": 1})
 
     def test_dataclasses_cover_patterns(self):
-        first = FailurePattern(n=3, faulty=frozenset({0}),
-                               omissions=frozenset({(0, 0, 1), (1, 0, 2)}))
-        second = FailurePattern(n=3, faulty=frozenset({0}),
-                                omissions=frozenset({(1, 0, 2), (0, 0, 1)}))
+        first = FailurePattern(n=4, faulty=frozenset([2, 0]),
+                               omissions=frozenset([(0, 0, 1), (1, 0, 2)]),
+                               receive_omissions=frozenset([(0, 3, 2), (0, 1, 2)]))
+        second = FailurePattern(n=4, faulty=frozenset([0, 2]),
+                                omissions=frozenset([(1, 0, 2), (0, 0, 1)]),
+                                receive_omissions=frozenset([(0, 1, 2), (0, 3, 2)]))
         assert token(first) == token(second)
 
     def test_protocol_instances_tokenize_via_dict(self):
@@ -119,6 +122,48 @@ class TestContentKey:
         ]
         keys = {run_task_key(task) for task in [base, *variants]}
         assert len(keys) == len(variants) + 1
+
+
+class TestPatternTokens:
+    """``FailurePattern.__store_token__``: one canonical string per pattern.
+
+    Input-order insensitivity is ``TestToken.test_dataclasses_cover_patterns``.
+    """
+
+    def test_sending_and_receive_omissions_differ(self):
+        sending = FailurePattern(n=3, faulty=frozenset({0, 1}),
+                                 omissions=frozenset({(0, 0, 1)}))
+        receiving = FailurePattern(n=3, faulty=frozenset({0, 1}),
+                                   receive_omissions=frozenset({(0, 0, 1)}))
+        assert token(sending) != token(receiving)
+
+    def test_n_is_part_of_the_token(self):
+        assert token(FailurePattern.failure_free(3)) != token(FailurePattern.failure_free(4))
+        assert (token(FailurePattern(n=3, faulty=frozenset({0}),
+                                     omissions=frozenset({(0, 0, 1)})))
+                != token(FailurePattern(n=4, faulty=frozenset({0}),
+                                        omissions=frozenset({(0, 0, 1)}))))
+
+    def test_system_key_separates_order_and_weights(self):
+        a = FailurePattern.failure_free(3)
+        b = FailurePattern(n=3, faulty=frozenset({0}), omissions=frozenset({(0, 0, 1)}))
+        prefs = [(1, 1, 0)]
+        keys = {
+            system_key(MinProtocol(1), 3, 3, [a, b], prefs),
+            system_key(MinProtocol(1), 3, 3, [b, a], prefs),
+            system_key(MinProtocol(1), 3, 3, [a, b], prefs, pattern_weights=[1, 1]),
+            system_key(MinProtocol(1), 3, 3, [a, b], prefs, pattern_weights=[1, 2]),
+        }
+        assert len(keys) == 4
+
+
+def test_system_key_tokenises_each_pattern_in_constant_calls(token_calls):
+    # A deterministic cost guard: generic tokenisation of a pattern's three
+    # frozensets made ~24 calls per pattern here; the string token makes 2.
+    context = gamma_min(4, 1)
+    patterns = list(context.patterns())
+    system_key(MinProtocol(1), 4, context.horizon, patterns, [(1, 1, 0, 1)])
+    assert token_calls[0] <= 3 * len(patterns)
 
 
 # --------------------------------------------------------------------------- backends
