@@ -244,9 +244,8 @@ class ParallelExecutor:
         """Fan batched-construction work items out over the pool, preserving order.
 
         Each batch (a contiguous chunk of failure patterns crossed with the
-        preference vectors; when :func:`repro.systems.interpreted.build_system`
-        builds from orbits, chunk boundaries respect orbit boundaries) runs
-        through one worker-side
+        preference vectors, as :func:`repro.systems.interpreted.build_system`
+        slices them) runs through one worker-side
         :class:`~repro.simulation.batch.BatchSimulator`, so the round-major
         sharing survives inside every chunk while the chunks themselves run in
         parallel.  Chunk results are reassembled in submission order, and each

@@ -14,7 +14,7 @@ on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..api import Executor, StoreLike, Sweep
 from ..failures.models import SendingOmissionModel
@@ -66,32 +66,6 @@ def exhaustive_workload(n: int, t: int, horizon: Optional[int] = None) -> List[S
     return scenarios
 
 
-def symmetry_reduced_workload(n: int, t: int,
-                              horizon: Optional[int] = None,
-                              ) -> Tuple[List[Scenario], List[int]]:
-    """The exhaustive ``SO(t)`` workload, reduced by agent-permutation symmetry.
-
-    One scenario per (canonical pattern-orbit representative, preference
-    vector), each annotated with its orbit size.  Because every preference
-    vector is swept, each reduced scenario's run is an agent-relabelling of
-    ``size`` full-enumeration runs, so *agent-symmetric* aggregates — run
-    totals, specification-violation counts, worst decision rounds — computed
-    with the returned weights match :func:`exhaustive_workload` exactly while
-    simulating roughly ``1/n!`` of the runs (pass both to
-    :func:`measure_termination`).
-    """
-    if horizon is None:
-        horizon = t + 2
-    model = SendingOmissionModel(n=n, t=t)
-    scenarios: List[Scenario] = []
-    weights: List[int] = []
-    for orbit in model.enumerate_orbits(horizon):
-        for preferences in enumerate_preferences(n):
-            scenarios.append((preferences, orbit.representative))
-            weights.append(orbit.size)
-    return scenarios, weights
-
-
 def adversarial_workload(n: int, t: int, random_count: int = 30, seed: int = 3) -> List[Scenario]:
     """Random ``SO(t)`` adversaries plus the structured hidden-chain worst cases."""
     scenarios = random_scenarios(n, t, count=random_count, seed=seed)
@@ -103,29 +77,15 @@ def adversarial_workload(n: int, t: int, random_count: int = 30, seed: int = 3) 
 def measure_termination(n: int, t: int, scenarios: Sequence[Scenario],
                         protocols: Optional[Sequence[ActionProtocol]] = None,
                         executor: Optional[Executor] = None,
-                        store: StoreLike = None,
-                        weights: Optional[Sequence[int]] = None,
-                        ) -> List[TerminationMeasurement]:
-    """Worst decision round and specification violations of each protocol over ``scenarios``.
-
-    ``weights`` (one multiplicity per scenario, from
-    :func:`symmetry_reduced_workload`) makes the reported ``runs`` and
-    ``spec_violations`` counts orbit-weighted, so a symmetry-reduced workload
-    reports the exact counts of the full enumeration it stands for.
-    """
+                        store: StoreLike = None) -> List[TerminationMeasurement]:
+    """Worst decision round and specification violations of each protocol over ``scenarios``."""
     if protocols is None:
         protocols = [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
-    if weights is not None and len(weights) != len(scenarios):
-        raise ValueError(f"{len(weights)} weights for {len(scenarios)} scenarios")
     results = Sweep.of(*protocols).on(scenarios, n=n).run(executor, store=store)
     reports = results.check_eba(deadline=t + 2, validity_for_faulty=True)
-    total_runs = len(scenarios) if weights is None else sum(weights)
     measurements: List[TerminationMeasurement] = []
     for protocol in protocols:
-        violations = 0
-        for index, report in enumerate(reports[protocol.name]):
-            if not report.ok:
-                violations += 1 if weights is None else weights[index]
+        violations = sum(1 for report in reports[protocol.name] if not report.ok)
         worst = 0
         for trace in results[protocol.name]:
             last = trace.last_decision_round(nonfaulty_only=False)
@@ -135,7 +95,7 @@ def measure_termination(n: int, t: int, scenarios: Sequence[Scenario],
             protocol=protocol.name,
             n=n,
             t=t,
-            runs=total_runs,
+            runs=len(scenarios),
             worst_decision_round=worst,
             paper_bound=t + 2,
             within_bound=worst <= t + 2,

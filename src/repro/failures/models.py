@@ -51,44 +51,6 @@ SlotLists = Tuple[List[Omission], List[Omission]]
 
 
 @dataclass(frozen=True)
-class PatternOrbit:
-    """One agent-permutation symmetry class of failure patterns.
-
-    Every failure model in the library is closed under relabelling the agents
-    (:meth:`FailurePattern.relabel`): permuting agent identities maps
-    admissible patterns to admissible patterns.  An orbit is one equivalence
-    class of that group action, represented canonically.
-
-    Attributes
-    ----------
-    representative:
-        The canonical member: the orbit's minimum under
-        :meth:`FailurePattern.sort_key`.
-    size:
-        The number of *distinct* patterns in the orbit
-        (``n! / |stabiliser|``); summing ``size`` over every orbit recovers
-        the model's exact pattern count.
-    """
-
-    representative: FailurePattern
-    size: int
-
-    def expand(self) -> Tuple[FailurePattern, ...]:
-        """Every distinct member of the orbit, sorted by canonical key.
-
-        The union of ``expand()`` over all of a model's orbits is exactly the
-        set :meth:`FailureModel.enumerate` yields (as a set; the order is the
-        canonical per-orbit order rather than the slot-enumeration order).
-        """
-        n = self.representative.n
-        members = {
-            self.representative.relabel(permutation)
-            for permutation in itertools.permutations(range(n))
-        }
-        return tuple(sorted(members, key=FailurePattern.sort_key))
-
-
-@dataclass(frozen=True)
 class FailureModel:
     """Base class for failure models.
 
@@ -185,38 +147,6 @@ class FailureModel:
         is intended for the small systems used by the epistemic model checker.
         """
         raise NotImplementedError
-
-    def enumerate_orbits(self, horizon: int,
-                         max_faulty: Optional[int] = None) -> Iterator[PatternOrbit]:
-        """Enumerate one canonical representative per agent-permutation orbit.
-
-        Yields a :class:`PatternOrbit` — canonical representative plus exact
-        orbit size — for every symmetry class of :meth:`enumerate`'s patterns,
-        in order of first appearance in the enumeration.  The expansion of all
-        yielded orbits is exactly the enumerated pattern set, and the sizes
-        sum to the exact pattern count, so orbit-weighted statistics over
-        agent-symmetric quantities match full enumeration while touching
-        roughly ``1/n!`` of the patterns.
-
-        The generic implementation canonicalises every enumerated pattern; it
-        relies only on the model being closed under
-        :meth:`FailurePattern.relabel`, which every model in the library is.
-        """
-        permutations = list(itertools.permutations(range(self.n)))
-        seen = set()
-        for pattern in self.enumerate(horizon, max_faulty=max_faulty):
-            if pattern in seen:
-                continue
-            members = {pattern.relabel(permutation) for permutation in permutations}
-            seen.update(members)
-            yield PatternOrbit(
-                representative=min(members, key=FailurePattern.sort_key),
-                size=len(members),
-            )
-
-    def count_orbits(self, horizon: int, max_faulty: Optional[int] = None) -> int:
-        """The number of agent-permutation orbits :meth:`enumerate_orbits` yields."""
-        return sum(1 for _orbit in self.enumerate_orbits(horizon, max_faulty=max_faulty))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ sent by ``i`` to ``j`` in round ``m + 1`` (i.e. during the transition from time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..core.agents import complement, validate_agent_set
 from ..core.errors import ConfigurationError, FailureModelError
@@ -139,10 +139,6 @@ class FailurePattern:
     def all_blocked(self) -> FrozenSet[Omission]:
         """Every blocked triple, regardless of which endpoint it is charged to."""
         return self.omissions | self.receive_omissions
-
-    def is_faulty(self, agent: AgentId) -> bool:
-        """Whether ``agent`` is faulty under this pattern."""
-        return agent in self.faulty
 
     def delivered(self, round_index: int, sender: AgentId, receiver: AgentId) -> bool:
         """Whether the message from ``sender`` to ``receiver`` in round ``round_index + 1`` arrives.
@@ -345,34 +341,6 @@ class FailurePattern:
         return FailurePattern(n=self.n, faulty=self.faulty | set(agents),
                               omissions=self.omissions,
                               receive_omissions=self.receive_omissions)
-
-    def relabel(self, permutation: Sequence[AgentId]) -> "FailurePattern":
-        """Apply an agent permutation to the whole pattern.
-
-        ``permutation[i]`` is the new identity of agent ``i``.  Unlike
-        :meth:`swap_roles` — which interchanges only the *charged* role of two
-        agents and is the surgical operation of the optimality proofs — this
-        relabels every occurrence of every agent: the faulty set and both
-        endpoints of every blocked triple.  It is the group action behind the
-        failure models' agent-permutation symmetry
-        (:meth:`repro.failures.models.FailureModel.enumerate_orbits`): every
-        model in the library is closed under it.
-        """
-        if sorted(permutation) != list(range(self.n)):
-            raise ConfigurationError(
-                f"{tuple(permutation)!r} is not a permutation of 0..{self.n - 1}")
-        return FailurePattern(
-            n=self.n,
-            faulty=frozenset(permutation[agent] for agent in self.faulty),
-            omissions=frozenset(
-                (m, permutation[sender], permutation[receiver])
-                for (m, sender, receiver) in self.omissions
-            ),
-            receive_omissions=frozenset(
-                (m, permutation[sender], permutation[receiver])
-                for (m, sender, receiver) in self.receive_omissions
-            ),
-        )
 
     def swap_roles(self, a: AgentId, b: AgentId) -> "FailurePattern":
         """Interchange the failure roles of two agents.

@@ -23,7 +23,6 @@ conventions: ``repro_<noun>_total`` for counters, base units for histograms.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -328,8 +327,3 @@ def render_table(snapshot: Dict[str, dict]) -> str:
     lines = [f"{name:<{name_width}}  {kind:<{kind_width}}  {value}"
              for name, kind, value in rows]
     return "\n".join(lines)
-
-
-def uptime_clock() -> float:
-    """Monotonic stamp helper shared by uptime reporters."""
-    return time.monotonic()

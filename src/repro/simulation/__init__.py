@@ -7,7 +7,7 @@ construction runs on it).  Batch orchestration lives in
 :mod:`repro.api`.
 """
 
-from .batch import BatchSimulator, BatchTask, execute_batch, execute_batches, simulate_batch
+from .batch import BatchSimulator, BatchTask, execute_batches, simulate_batch
 from .engine import simulate, step
 from .runner import BatchResult, Scenario
 from .trace import RoundRecord, RunTrace
@@ -19,7 +19,6 @@ __all__ = [
     "RoundRecord",
     "RunTrace",
     "Scenario",
-    "execute_batch",
     "execute_batches",
     "simulate",
     "simulate_batch",

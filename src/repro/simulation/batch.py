@@ -389,17 +389,6 @@ def simulate_batch(protocol: ActionProtocol, n: int,
     return BatchSimulator(protocol, n).simulate_scenarios(scenarios, horizon)
 
 
-def execute_batch(task: BatchTask) -> List[RunTrace]:
-    """Execute one batched work item with a fresh simulator.
-
-    Module-level (like :func:`repro.api.executors.execute_task`) so
-    process-pool workers can import it by qualified name.
-    """
-    protocol, n, preference_vectors, patterns, horizon = task
-    simulator = BatchSimulator(protocol, n)
-    return simulator.simulate_patterns(patterns, preference_vectors, horizon)
-
-
 def execute_batches(tasks: Sequence[BatchTask]) -> List[RunTrace]:
     """Execute several batches in-process, in order, concatenating the traces.
 

@@ -23,12 +23,12 @@ and the classes — together with the atoms ``init_i = v``, ``decided_i = v``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple
 
 from ..core.errors import ModelCheckingError
 from ..core.types import PreferenceVector, Value
 from ..exchange.base import LocalState
-from ..failures.models import FailureModel, PatternOrbit
+from ..failures.models import FailureModel
 from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
@@ -85,17 +85,8 @@ class InterpretedSystem:
     horizon: int
     runs: List[RunTrace]
     protocol_name: str = ""
-    #: Orbit multiplicities for symmetry-reduced systems: ``run_weights[r]`` is
-    #: the number of full-system runs run ``r`` stands for (``None`` = every
-    #: run counts once, the exhaustive default).  Only counting paths consult
-    #: this; the model checker always treats the runs it has as the system.
-    run_weights: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.run_weights is not None and len(self.run_weights) != len(self.runs):
-            raise ModelCheckingError(
-                f"run_weights has {len(self.run_weights)} entries for "
-                f"{len(self.runs)} runs")
         self._points: Optional[Tuple[Point, ...]] = None
         self._classes: Dict[int, Dict[object, Tuple[Point, ...]]] = {}
         self._partitions: Dict[int, AgentPartition] = {}
@@ -227,18 +218,6 @@ class InterpretedSystem:
         """
         for agent, partition in partitions.items():
             self._partitions[agent] = partition
-
-    @property
-    def weighted_run_count(self) -> int:
-        """The number of full-system runs this system stands for.
-
-        Equal to ``len(runs)`` for exhaustive systems; for symmetry-reduced
-        systems (``run_weights`` set) it is the orbit-weighted total, which
-        matches the run count of the corresponding full enumeration exactly.
-        """
-        if self.run_weights is None:
-            return len(self.runs)
-        return sum(self.run_weights)
 
     def equivalence_classes(self, agent: int) -> Dict[object, Tuple[Point, ...]]:
         """Partition the points by ``agent``'s local state.
@@ -374,49 +353,11 @@ class InterpretedSystem:
                 f"runs={len(self.runs)}, protocol={self.protocol_name!r})")
 
 
-def _normalize_patterns(patterns: Iterable["FailurePattern | PatternOrbit"],
-                        pattern_weights: Optional[Sequence[int]],
-                        ) -> Tuple[List[FailurePattern], List[Tuple[FailurePattern, ...]],
-                                   Optional[List[int]]]:
-    """Expand orbits, validate weights, and reject duplicate patterns.
-
-    Returns ``(pattern_list, groups, weights)``: the flat pattern list in
-    build order, the orbit grouping (used to keep orbit members in one
-    parallel chunk), and the per-pattern weights (``None`` when every pattern
-    counts once).
-    """
-    entries = list(patterns)
-    if not entries:
+def _normalize_patterns(patterns: Iterable[FailurePattern]) -> List[FailurePattern]:
+    """The patterns as a list, rejecting an empty input and duplicate patterns."""
+    pattern_list = list(patterns)
+    if not pattern_list:
         raise ModelCheckingError("cannot build a system from an empty set of failure patterns")
-    if pattern_weights is not None:
-        weight_list = list(pattern_weights)
-        if any(isinstance(entry, PatternOrbit) for entry in entries):
-            raise ModelCheckingError(
-                "pattern_weights cannot be combined with PatternOrbit entries; "
-                "orbits carry their own multiplicities")
-        if len(weight_list) != len(entries):
-            raise ModelCheckingError(
-                f"pattern_weights has {len(weight_list)} entries for "
-                f"{len(entries)} patterns")
-        for weight in weight_list:
-            if not isinstance(weight, int) or weight < 1:
-                raise ModelCheckingError(
-                    f"pattern weights must be positive integers, got {weight!r}")
-    else:
-        weight_list = None
-    pattern_list: List[FailurePattern] = []
-    groups: List[Tuple[FailurePattern, ...]] = []
-    weights: List[int] = []
-    for index, entry in enumerate(entries):
-        if isinstance(entry, PatternOrbit):
-            members = entry.expand()
-            groups.append(members)
-            pattern_list.extend(members)
-            weights.extend([1] * len(members))
-        else:
-            groups.append((entry,))
-            pattern_list.append(entry)
-            weights.append(1 if weight_list is None else weight_list[index])
     seen: Dict[FailurePattern, int] = {}
     for position, pattern in enumerate(pattern_list):
         first = seen.get(pattern)
@@ -428,40 +369,18 @@ def _normalize_patterns(patterns: Iterable["FailurePattern | PatternOrbit"],
                 "tallies"
             )
         seen[pattern] = position
-    if all(weight == 1 for weight in weights):
-        return pattern_list, groups, None
-    return pattern_list, groups, weights
+    return pattern_list
 
 
-def _chunk_groups(groups: Sequence[Tuple[FailurePattern, ...]],
-                  target_chunks: int = 64) -> List[Tuple[FailurePattern, ...]]:
-    """Pack pattern groups into at most ``target_chunks`` contiguous chunks.
-
-    Chunk boundaries fall only between groups, so the members of one pattern
-    orbit always land in the same parallel batch (and therefore share one
-    worker-side simulator).
-    """
-    total = sum(len(group) for group in groups)
-    chunk_size = max(1, -(-total // target_chunks))
-    chunks: List[Tuple[FailurePattern, ...]] = []
-    current: List[FailurePattern] = []
-    for group in groups:
-        current.extend(group)
-        if len(current) >= chunk_size:
-            chunks.append(tuple(current))
-            current = []
-    if current:
-        chunks.append(tuple(current))
-    return chunks
+#: The most pattern chunks :func:`build_system` hands an executor's ``run_batches``.
+_TARGET_CHUNKS = 64
 
 
 def build_system(protocol: ActionProtocol, n: int, horizon: int,
-                 patterns: Iterable["FailurePattern | PatternOrbit"],
+                 patterns: Iterable[FailurePattern],
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
                  executor: Optional["Executor"] = None,
-                 store: "StoreLike" = None,
-                 pattern_weights: Optional[Sequence[int]] = None,
-                 ) -> InterpretedSystem:
+                 store: "StoreLike" = None) -> InterpretedSystem:
     """Build the interpreted system ``I_{γ, P}`` by simulating every run.
 
     All runs advance together one round at a time through a
@@ -483,12 +402,10 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         to time ``horizon`` exists in every run.
     patterns:
         The failure patterns of the failure model ``F`` (use
-        ``FailureModel.enumerate`` for exhaustive small systems).  Entries may
-        also be :class:`~repro.failures.models.PatternOrbit`\\ s (from
-        ``FailureModel.enumerate_orbits``), which are expanded in place to
-        their full membership in canonical order.  Duplicate patterns are
-        rejected with :class:`~repro.core.errors.ModelCheckingError` — a
-        duplicated pattern would silently inflate every run count downstream.
+        ``FailureModel.enumerate`` for exhaustive small systems).  Duplicate
+        patterns are rejected with
+        :class:`~repro.core.errors.ModelCheckingError` — a duplicated pattern
+        would silently inflate every run count downstream.
     preference_vectors:
         The initial preference vectors to include; defaults to all ``2^n``.
     executor:
@@ -496,10 +413,9 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         on (e.g. :class:`~repro.api.executors.ParallelExecutor` for a process
         pool).  Run ordering is deterministic — pattern-major,
         preference-minor — on every backend; ``None`` runs in-process.  The
-        executor's ``run_batches`` receives contiguous pattern chunks (each
-        chunk one worker-side batch simulator); when ``patterns`` contains
-        orbits, chunk boundaries respect orbit boundaries, so an orbit's
-        members always share a simulator.  The
+        executor's ``run_batches`` receives at most 64 contiguous pattern
+        chunks of equal size (the last may be shorter), each chunk one
+        worker-side batch simulator.  The
         :class:`~repro.store.CachingExecutor` serves fully cached chunks and
         forwards whole missing chunks inward while still caching at per-run
         granularity.
@@ -509,12 +425,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         from the content-addressed cache when an identical configuration was
         built before, and persisted otherwise.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
-    pattern_weights:
-        Optional per-pattern orbit multiplicities (one positive integer per
-        ``patterns`` entry; incompatible with orbit entries, which carry their
-        own sizes).  When any weight exceeds 1 the system records per-run
-        weights (:attr:`InterpretedSystem.run_weights`) so counting paths can
-        recover exact full-enumeration totals from a symmetry-reduced build.
     """
     from ..store import resolve_store, system_key
     if preference_vectors is None:
@@ -526,11 +436,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 f"preference vector {vector!r} has length {len(vector)}, "
                 f"expected {n} (one preference per agent)"
             )
-    pattern_list, groups, weights = _normalize_patterns(patterns, pattern_weights)
-    run_weights: Optional[Tuple[int, ...]] = None
-    if weights is not None:
-        run_weights = tuple(
-            weight for weight in weights for _vector in preference_list)
+    pattern_list = _normalize_patterns(patterns)
     build_span = _trace.NOOP
     if _trace.is_active():
         build_span = _trace.span("build.system", "build", {
@@ -541,8 +447,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         resolved_store = resolve_store(store)
         key = None
         if resolved_store is not None:
-            key = system_key(protocol, n, horizon, pattern_list, preference_list,
-                             pattern_weights=weights)
+            key = system_key(protocol, n, horizon, pattern_list, preference_list)
             cached = resolved_store.get(key)
             if cached is not None:
                 span.set("cached", True)
@@ -554,15 +459,15 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
             partitions = simulator.partitions(runs, horizon)
         else:
             prefs = tuple(preference_list)
+            chunk_size = -(-len(pattern_list) // _TARGET_CHUNKS)
             batches = [
-                (protocol, n, prefs, chunk, horizon)
-                for chunk in _chunk_groups(groups)
+                (protocol, n, prefs, tuple(pattern_list[start:start + chunk_size]), horizon)
+                for start in range(0, len(pattern_list), chunk_size)
             ]
             runs = list(executor.run_batches(batches))
         with _trace.span("build.intern", "build"):
             system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
-                                       protocol_name=protocol.name,
-                                       run_weights=run_weights)
+                                       protocol_name=protocol.name)
             if partitions is not None:
                 system.adopt_partitions(partitions)
             system.intern_states()
@@ -571,47 +476,11 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         return system
 
 
-#: The symmetry-handling modes of :func:`build_system_for_model`.
-SYMMETRY_MODES = ("none", "expand", "reduce")
-
-
 def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizon: int,
                            max_faulty: Optional[int] = None,
                            executor: Optional["Executor"] = None,
-                           store: "StoreLike" = None,
-                           symmetry: str = "none") -> InterpretedSystem:
-    """Convenience wrapper: build the system for every pattern of a failure model.
-
-    ``symmetry`` selects how the model's agent-permutation symmetry is used:
-
-    * ``"none"`` (default) — enumerate patterns in the model's native slot
-      order (byte-compatible with every earlier build);
-    * ``"expand"`` — enumerate canonical orbits and expand each back to its
-      full membership: the same pattern *set*, in canonical orbit order, with
-      orbit members contiguous (so parallel chunks align with orbits);
-    * ``"reduce"`` — build only one representative per orbit and record the
-      orbit sizes as :attr:`InterpretedSystem.run_weights`.  The reduced
-      system has ~``1/n!`` of the runs; agent-symmetric counting statistics
-      (run totals, violation counts, message tallies) recover exact
-      full-enumeration values by weighting, because the full preference
-      enumeration makes every orbit member's runs a relabelling of the
-      representative's.  Epistemic checks over a reduced system are *not*
-      equivalent to the full system — use it for counting, not knowledge.
-    """
-    if symmetry not in SYMMETRY_MODES:
-        raise ModelCheckingError(
-            f"unknown symmetry mode {symmetry!r}; use one of {SYMMETRY_MODES}")
-    if symmetry == "none":
-        patterns: Iterable["FailurePattern | PatternOrbit"] = model.enumerate(
-            horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
-        weights = None
-    else:
-        orbits = list(model.enumerate_orbits(horizon, max_faulty=max_faulty))
-        if symmetry == "expand":
-            patterns = orbits
-            weights = None
-        else:
-            patterns = [orbit.representative for orbit in orbits]
-            weights = [orbit.size for orbit in orbits]
-    return build_system(protocol, model.n, horizon, patterns, executor=executor,
-                        store=store, pattern_weights=weights)
+                           store: "StoreLike" = None) -> InterpretedSystem:
+    """Convenience wrapper: build the system for every pattern of a failure model."""
+    return build_system(protocol, model.n, horizon,
+                        model.enumerate(horizon, max_faulty=max_faulty),
+                        executor=executor, store=store)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,3 +239,54 @@ class TestForkMerge:
                         and record["name"] == "exec.map_chunks")
         assert map_span["pid"] == os.getpid()
         assert map_span["attrs"]["chunks"] == 8
+
+
+class TestTraceReportSelfTime:
+    """``tools/trace_report.py`` subtracts direct children, per pid, for self time."""
+
+    @staticmethod
+    def _span(name, pid, span_id, parent, ts, dur):
+        return {"type": "span", "name": name, "cat": "t", "ts": ts, "dur": dur,
+                "pid": pid, "tid": 1, "id": span_id, "parent": parent, "attrs": {}}
+
+    def _write_trace(self, path):
+        records = [
+            {"type": "meta", "version": obs_trace.SCHEMA_VERSION, "pid": pid,
+             "tid": 1, "unix_ts": 0.0, "monotonic_ts": 0.0}
+            for pid in (100, 200)
+        ]
+        records += [
+            self._span("parent", 100, 1, None, 0.0, 1.0),
+            self._span("child", 100, 2, 1, 0.1, 0.4),
+            # another process reuses id 1 as a parent: not a child of pid 100's span
+            self._span("worker", 200, 5, 1, 0.2, 0.3),
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+    @pytest.fixture
+    def trace_report(self):
+        tools = str(Path(__file__).resolve().parent.parent / "tools")
+        sys.path.insert(0, tools)
+        try:
+            import trace_report
+            yield trace_report
+        finally:
+            sys.path.remove(tools)
+
+    def test_self_subtracts_same_pid_children_only(self, tmp_path, trace_report, capsys):
+        path = tmp_path / "trace.jsonl"
+        self._write_trace(path)
+        assert trace_report.main([str(path), "--json"]) == 0
+        spans = json.loads(capsys.readouterr().out)["spans"]
+        assert spans["t/parent"]["total"] == pytest.approx(1.0)
+        assert spans["t/parent"]["self"] == pytest.approx(0.6)
+        assert spans["t/child"]["self"] == pytest.approx(0.4)
+        assert spans["t/worker"]["self"] == pytest.approx(0.3)
+
+    def test_summary_table_shows_self_column(self, tmp_path, trace_report, capsys):
+        path = tmp_path / "trace.jsonl"
+        self._write_trace(path)
+        assert trace_report.main([str(path)]) == 0
+        header = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("span"))
+        assert header.split() == ["span", "count", "total", "self", "mean", "max"]

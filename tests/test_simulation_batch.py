@@ -6,7 +6,7 @@ for every protocol, failure model, and scenario — and systems whose interned
 partitions are identical to the per-run path's.  These tests enforce that
 promise across the SO / RO / GO models and all three paper protocols, plus a
 randomized scenario sweep, and pin the supporting behaviours: duplicate-pattern
-rejection, executor batch fan-out, and the symmetry knob of ``build_system``.
+rejection and the executor batch fan-out of ``build_system``.
 """
 
 import pickle
@@ -27,7 +27,7 @@ from repro.kbp import check_implements, make_p0
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
 from repro.simulation.engine import simulate
-from repro.systems import build_system, build_system_for_model, gamma_basic, gamma_min
+from repro.systems import build_system, gamma_basic, gamma_min
 from repro.testing.oracles import per_run_system
 from repro.workloads.preferences import enumerate_preferences
 
@@ -151,6 +151,32 @@ class TestExecutorBatchFanOut:
         whole = execute_batches([(protocol, 3, prefs, patterns, 2)])
         assert _trace_bytes(chunked) == _trace_bytes(whole)
 
+    def test_build_system_chunks_are_contiguous_equal_slices(self):
+        """``run_batches`` gets at most 64 ceil(total/64)-pattern slices, in context order."""
+
+        class RecordingExecutor:
+            def __init__(self):
+                self.inner = SerialExecutor()
+                self.batches = []
+
+            def run_tasks(self, tasks):
+                return self.inner.run_tasks(tasks)
+
+            def run_batches(self, batches):
+                batches = list(batches)
+                self.batches.extend(batches)
+                return self.inner.run_batches(batches)
+
+        context = gamma_min(3, 1)
+        executor = RecordingExecutor()
+        context.build_system(MinProtocol(1), executor=executor)
+        chunks = [batch[3] for batch in executor.batches]
+        patterns = list(context.patterns())
+        chunk_size = -(-len(patterns) // 64)
+        assert 1 < len(chunks) <= 64
+        assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+        assert [pattern for chunk in chunks for pattern in chunk] == patterns
+
 
 class TestValidation:
     def test_duplicate_pattern_rejected_naming_the_pattern(self):
@@ -178,47 +204,3 @@ class TestValidation:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="horizon"):
             simulate_batch(MinProtocol(1), 3, [((1, 1, 1), None)], -1)
-
-    def test_bad_pattern_weights_rejected(self):
-        patterns = [FailurePattern.failure_free(3)]
-        with pytest.raises(ModelCheckingError, match="weights"):
-            build_system(MinProtocol(1), 3, 2, patterns, pattern_weights=[1, 2])
-        with pytest.raises(ModelCheckingError, match="positive"):
-            build_system(MinProtocol(1), 3, 2, patterns, pattern_weights=[0])
-
-
-class TestSymmetryModes:
-    def test_expand_builds_the_same_pattern_set(self):
-        model = SendingOmissionModel(n=3, t=1)
-        full = build_system_for_model(MinProtocol(1), model, 2)
-        expanded = build_system_for_model(MinProtocol(1), model, 2, symmetry="expand")
-        assert len(expanded.runs) == len(full.runs)
-        assert ({run.pattern for run in expanded.runs}
-                == {run.pattern for run in full.runs})
-        assert expanded.run_weights is None
-
-    def test_reduce_records_exact_weighted_run_count(self):
-        model = SendingOmissionModel(n=3, t=1)
-        full = build_system_for_model(MinProtocol(1), model, 2)
-        reduced = build_system_for_model(MinProtocol(1), model, 2, symmetry="reduce")
-        assert len(reduced.runs) < len(full.runs)
-        assert reduced.run_weights is not None
-        assert reduced.weighted_run_count == full.weighted_run_count == len(full.runs)
-
-    def test_unknown_symmetry_mode_rejected(self):
-        with pytest.raises(ModelCheckingError, match="symmetry"):
-            build_system_for_model(MinProtocol(1), SendingOmissionModel(n=3, t=1), 2,
-                                   symmetry="fold")
-
-    def test_reduced_system_keys_distinct_from_exhaustive(self, tmp_path):
-        """A reduced build must not alias the plain build of the same patterns."""
-        from repro.store import default_store
-        store = default_store(tmp_path)
-        model = SendingOmissionModel(n=3, t=1)
-        orbits = list(model.enumerate_orbits(2))
-        representatives = [orbit.representative for orbit in orbits]
-        reduced = build_system_for_model(MinProtocol(1), model, 2,
-                                         symmetry="reduce", store=store)
-        plain = build_system(MinProtocol(1), 3, 2, representatives, store=store)
-        assert reduced.run_weights is not None
-        assert plain.run_weights is None

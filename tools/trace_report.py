@@ -11,10 +11,13 @@ Usage::
 Every record is checked against the pinned schema of
 :mod:`repro.obs.trace` first; any invalid line makes the report exit
 non-zero, so CI can gate on "the tracer only ever writes what it promised".
-The summary aggregates spans by name (count / total / mean / max duration)
-per category, and the waterfall renders the longest spans against the
-trace's wall-clock extent — enough to see where a build → check pipeline
-spends its time without leaving the terminal.
+The summary aggregates spans by name (count / total / self / mean / max
+duration) per category.  ``total`` sums inclusive durations, so a nested
+span counts in both its parent and itself; ``self`` subtracts each span's
+direct children (same pid, ``parent`` equal to the span's ``id``).  The
+waterfall renders the longest spans against the trace's wall-clock extent —
+enough to see where a build → check pipeline spends its time without
+leaving the terminal.
 """
 
 from __future__ import annotations
@@ -63,8 +66,18 @@ def load(path: Path) -> list:
 
 
 def aggregate(records: list) -> dict:
-    """Per-(cat, name) span statistics plus trace-wide extent and pids."""
-    stats = defaultdict(lambda: {"count": 0, "total": 0.0, "max": 0.0})
+    """Per-(cat, name) span statistics plus trace-wide extent and pids.
+
+    A span's self time is its ``dur`` minus the ``dur`` of its direct
+    children: spans of the same pid whose ``parent`` is the span's ``id``
+    (ids are per process, so a pool worker's spans never reduce a
+    coordinator span that happens to share an id).
+    """
+    stats = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0, "max": 0.0})
+    child_dur = defaultdict(float)
+    for record in records:
+        if record["type"] == "span" and record["parent"] is not None:
+            child_dur[(record["pid"], record["parent"])] += record["dur"]
     start = end = None
     pids = set()
     for record in records:
@@ -74,6 +87,7 @@ def aggregate(records: list) -> dict:
         entry = stats[(record["cat"], record["name"])]
         entry["count"] += 1
         entry["total"] += record["dur"]
+        entry["self"] += record["dur"] - child_dur.get((record["pid"], record["id"]), 0.0)
         entry["max"] = max(entry["max"], record["dur"])
         start = record["ts"] if start is None else min(start, record["ts"])
         stop = record["ts"] + record["dur"]
@@ -98,12 +112,12 @@ def render_summary(report: dict) -> str:
         return "\n".join(lines)
     name_width = max(len(name) for name in report["spans"])
     lines.append(f"{'span':<{name_width}}  {'count':>6}  {'total':>9}  "
-                 f"{'mean':>9}  {'max':>9}")
+                 f"{'self':>9}  {'mean':>9}  {'max':>9}")
     for name, entry in sorted(report["spans"].items(),
                               key=lambda item: -item[1]["total"]):
         lines.append(f"{name:<{name_width}}  {entry['count']:>6}  "
-                     f"{entry['total']:>8.3f}s  {entry['mean']:>8.4f}s  "
-                     f"{entry['max']:>8.4f}s")
+                     f"{entry['total']:>8.3f}s  {entry['self']:>8.3f}s  "
+                     f"{entry['mean']:>8.4f}s  {entry['max']:>8.4f}s")
     return "\n".join(lines)
 
 
